@@ -1,11 +1,15 @@
 """S1 — Throughput of the persistent job queue.
 
-The characterization service folds its whole job state from an
-append-only record log on every transaction, so queue operations get
-slower as the log grows.  This bench measures where that curve sits:
-it submits a ramp of distinct jobs, re-submits one of them (the dedup
-hot path every duplicate client hits), and claims/completes the
-backlog, timing each operation class against the log it runs over.
+The characterization service folds its job state from an append-only
+record log on every transaction.  The fold starts from the newest
+checksummed snapshot and reads only the records after it, and a
+snapshot is written every ``SNAPSHOT_INTERVAL`` records, so the cost of
+an operation is bounded by that interval rather than by the length of
+the log.  This bench submits a ramp of distinct jobs, re-submits one
+of them (the dedup hot path every duplicate client hits), and
+claims/completes the backlog, timing each operation class; it also
+reports how many records each operation read and how many snapshots
+were written.
 
 The numbers answer the deployment question directly — how many jobs
 can one service root hold before submit latency is felt over HTTP —
@@ -28,6 +32,7 @@ import time
 from repro.config import AnalysisConfig
 from repro.io import format_table
 from repro.obs import emit_bench
+from repro.io.records import SNAPSHOT_INTERVAL
 from repro.service import JobQueue
 
 #: Distinct jobs submitted (the log ends near 3x this: queued,
@@ -55,6 +60,15 @@ def bench_service_queue(report):
     base = AnalysisConfig.tiny()
     tmpdir = tempfile.mkdtemp(prefix="repro-bench-queue-")
     queue = JobQueue(os.path.join(tmpdir, "svc"))
+    records_read = []
+    read = queue.log.read
+
+    def counting_read(after=0):
+        out = read(after)
+        records_read.append(len(out))
+        return out
+
+    queue.log.read = counting_read
 
     submit_rate = _timed(
         lambda i: queue.submit(suites=["BMW"], config=base.replace(seed=i)), N_JOBS
@@ -69,6 +83,10 @@ def bench_service_queue(report):
         ),
         N_JOBS,
     )
+
+    ops = len(records_read)
+    read_per_op = sum(records_read) / ops
+    snapshots = len(list(queue.log.root.glob("**/snapshot-*.json")))
 
     fold_start = time.perf_counter()
     jobs = queue.jobs()
@@ -87,8 +105,10 @@ def bench_service_queue(report):
     text = format_table(["operation", "ops / second"], rows)
     text += (
         f"\n{N_JOBS} jobs, {N_DUPES} duplicate submissions; final log holds "
-        f"{3 * N_JOBS + N_DUPES} records; one full state fold over it takes "
+        f"{3 * N_JOBS + N_DUPES} records; one state fold over it takes "
         f"{fold_seconds * 1e3:.1f} ms\n"
+        f"records read per operation: {read_per_op:.1f} (max {max(records_read)}, "
+        f"snapshot interval {SNAPSHOT_INTERVAL}); snapshots written: {snapshots}\n"
     )
     report("service_queue.txt", text)
     print("\n" + text)
@@ -101,6 +121,8 @@ def bench_service_queue(report):
         "claim_per_s": round(claim_rate, 1),
         "complete_per_s": round(complete_rate, 1),
         "fold_seconds": round(fold_seconds, 6),
+        "records_read_per_op": round(read_per_op, 1),
+        "snapshots": snapshots,
         "min_submit_per_s": MIN_SUBMIT_PER_S,
         "min_dedup_per_s": MIN_DEDUP_PER_S,
         "min_claim_per_s": MIN_CLAIM_PER_S,

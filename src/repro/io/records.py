@@ -1,4 +1,4 @@
-"""Append-only, checksummed JSON record logs.
+"""Append-only, checksummed JSON record logs with snapshots.
 
 The run-history store (:mod:`repro.obs.history`) established the
 envelope discipline for durable JSON records: one file per record,
@@ -17,6 +17,9 @@ Layout::
       COUNTER                     # last allocated sequence number
       .locks/                     # artifact_lock residue
       <prefix>-000001-<tag>.json  # one envelope per record
+      snapshot-000128.json        # folded state through seq 128
+      archive/                    # records and snapshots a newer
+                                  # snapshot superseded (moved, never deleted)
 
 Envelope::
 
@@ -24,10 +27,17 @@ Envelope::
      "created": <unix time>, "sha256": <digest of canonical record>,
      "record": {...}}
 
+A snapshot is the same envelope with schema ``<schema>:snapshot``,
+whose record is ``{"seq": <last seq folded>, "state": {...}}``.
+
 A log is *append-only*: records are never rewritten in place.  State
 machines layered on top (the job queue) model transitions as new
 records and fold the log by sequence number, so a crash at any point
-leaves a prefix that still tells the whole story.
+leaves a prefix that still tells the whole story.  So that a fold costs
+the records since the last snapshot and not the whole history, the
+owner periodically publishes its folded state with :meth:`RecordLog.snapshot`;
+:meth:`RecordLog.load` then returns the newest verified snapshot plus
+the records after it.
 """
 
 from __future__ import annotations
@@ -39,12 +49,13 @@ import re
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..obs import get_logger
 
 __all__ = [
     "RECORD_SCHEMA_VERSION",
+    "SNAPSHOT_INTERVAL",
     "RecordLog",
     "canonical_digest",
     "write_json_atomic",
@@ -54,6 +65,11 @@ PathLike = Union[str, Path]
 
 #: Bump when the envelope layout changes incompatibly.
 RECORD_SCHEMA_VERSION = 1
+
+#: Records appended past the newest snapshot before the next one is due.
+SNAPSHOT_INTERVAL = 128
+
+_SNAPSHOT_NAME = re.compile(r"^snapshot-(\d+)\.json$")
 
 log = get_logger(__name__)
 
@@ -93,8 +109,12 @@ class RecordLog:
 
     def __init__(self, root: PathLike, *, schema: str, prefix: str = "rec") -> None:
         self.root = Path(root)
+        self.archive = self.root / "archive"
         self.schema = schema
         self.prefix = prefix
+        self._record_name = re.compile(rf"^{re.escape(prefix)}-(\d+)-.*\.json$")
+        # Any name holding an allocated seq, quarantined copies included.
+        self._seq_name = re.compile(rf"^(?:{re.escape(prefix)}-(\d+)-|snapshot-(\d+))")
 
     def _counter_path(self) -> Path:
         return self.root / "COUNTER"
@@ -102,23 +122,27 @@ class RecordLog:
     def _next_seq_locked(self) -> int:
         """Allocate the next sequence number; caller holds the counter lock.
 
-        A lost COUNTER never reuses a number: the record files themselves
-        are scanned and allocation continues past the highest on disk.
+        A lost COUNTER never reuses a number: the live directory
+        (records, snapshots, quarantined copies) is scanned and
+        allocation continues past the highest seq on disk.  Without a
+        readable COUNTER, ``archive/`` is scanned as well.
         """
         counter = self._counter_path()
         try:
             last = int(counter.read_text().strip() or 0)
+            directories = [self.root]
         except (OSError, ValueError):
             last = 0
-        pattern = re.compile(rf"^{re.escape(self.prefix)}-(\d+)-")
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            names = []
-        for name in names:
-            match = pattern.match(name)
-            if match:
-                last = max(last, int(match.group(1)))
+            directories = [self.root, self.archive]
+        for directory in directories:
+            try:
+                names = os.listdir(directory)
+            except OSError:
+                continue
+            for name in names:
+                match = self._seq_name.match(name)
+                if match:
+                    last = max(last, int(match.group(1) or match.group(2)))
         seq = last + 1
         fd, tmp = tempfile.mkstemp(dir=str(self.root), prefix="COUNTER.", suffix=".tmp")
         try:
@@ -162,17 +186,28 @@ class RecordLog:
         envelope["path"] = str(path)
         return envelope
 
-    def _verify(self, path: Path) -> Optional[Dict[str, Any]]:
+    def _verify(self, path: Path, schema: str, seq: int) -> Optional[Dict[str, Any]]:
+        """The envelope at ``path`` if it verifies, else None (quarantined).
+
+        Raises FileNotFoundError when the file vanished after it was
+        listed — moved aside by a snapshot or a concurrent quarantine —
+        so the caller can list the directory again.
+        """
         from .artifacts import quarantine
 
         try:
             envelope = json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            if not os.path.lexists(path):
+                raise
+            envelope = None  # a dangling link: corrupt, not moved
         except (OSError, ValueError):
             envelope = None
         if (
             not isinstance(envelope, dict)
-            or envelope.get("schema") != self.schema
+            or envelope.get("schema") != schema
             or envelope.get("version") != RECORD_SCHEMA_VERSION
+            or envelope.get("seq") != seq
             or canonical_digest(envelope.get("record")) != envelope.get("sha256")
         ):
             dest = quarantine(path)
@@ -185,21 +220,122 @@ class RecordLog:
         envelope["path"] = str(path)
         return envelope
 
-    def read(self) -> List[Dict[str, Any]]:
-        """All verified envelopes, ordered by sequence number.
+    def _scan(self, directory: Path, after: int) -> List[Dict[str, Any]]:
+        """Verified records in ``directory`` with seq > ``after``, by seq.
+
+        Names at or below ``after`` are skipped without being opened.
+        """
+        try:
+            names = os.listdir(directory)
+        except FileNotFoundError:
+            return []
+        out: List[Dict[str, Any]] = []
+        for name in names:
+            match = self._record_name.match(name)
+            if match is None or int(match.group(1)) <= after:
+                continue
+            envelope = self._verify(directory / name, self.schema, int(match.group(1)))
+            if envelope is not None:
+                out.append(envelope)
+        out.sort(key=lambda e: e["seq"])
+        return out
+
+    def read(self, after: int = 0) -> List[Dict[str, Any]]:
+        """Verified live records with seq > ``after``, ordered by seq.
 
         A record that fails verification (truncated, bit-flipped,
         wrong schema) is quarantined aside and skipped; the rest of the
-        log remains usable.
+        log remains usable.  Records a snapshot moved into ``archive/``
+        are not live; :meth:`load` is the full view of the log.
         """
-        if not self.root.is_dir():
+        while True:
+            try:
+                return self._scan(self.root, after)
+            except FileNotFoundError:
+                continue  # a listed record was moved aside: list again
+
+    def _snapshots(self) -> List[Tuple[int, Path]]:
+        """Live snapshot files as ``(seq, path)``, newest first."""
+        try:
+            names = os.listdir(self.root)
+        except FileNotFoundError:
             return []
-        out: List[Dict[str, Any]] = []
-        for name in sorted(os.listdir(self.root)):
-            if not name.startswith(f"{self.prefix}-") or not name.endswith(".json"):
-                continue
-            envelope = self._verify(self.root / name)
-            if envelope is not None:
-                out.append(envelope)
-        out.sort(key=lambda e: e.get("seq", 0))
-        return out
+        found = []
+        for name in names:
+            match = _SNAPSHOT_NAME.match(name)
+            if match:
+                found.append((int(match.group(1)), self.root / name))
+        return sorted(found, reverse=True)
+
+    def load(self) -> Tuple[Optional[Dict[str, Any]], List[Dict[str, Any]]]:
+        """The newest verified snapshot (or None) and the records after it.
+
+        Folding the snapshot's state with the returned records gives the
+        same state as folding every record ever appended.  A snapshot
+        that fails verification is quarantined and the next older live
+        one is tried; with none left, the records come from
+        ``archive/`` plus the live directory — the whole history.
+        """
+        schema = f"{self.schema}:snapshot"
+        while True:
+            try:
+                for seq, path in self._snapshots():
+                    snapshot = self._verify(path, schema, seq)
+                    if snapshot is None:
+                        continue
+                    tail = self.read(after=seq)
+                    # While a snapshot is live, no record after it has
+                    # been moved aside (see snapshot()), so the tail read
+                    # above is complete.  Otherwise a newer snapshot
+                    # landed meanwhile: start over.
+                    if os.path.exists(path):
+                        return snapshot, tail
+                    break
+                else:
+                    by_seq = {e["seq"]: e for e in self.read()}
+                    for envelope in self._scan(self.archive, 0):
+                        by_seq.setdefault(envelope["seq"], envelope)
+                    return None, [by_seq[seq] for seq in sorted(by_seq)]
+            except FileNotFoundError:
+                continue  # a snapshot or archived record moved: start over
+
+    def snapshot_due(self, seq: int) -> bool:
+        """Whether ``seq`` is :data:`SNAPSHOT_INTERVAL` past the newest snapshot."""
+        newest = self._snapshots()
+        return seq - (newest[0][0] if newest else 0) >= SNAPSHOT_INTERVAL
+
+    def snapshot(self, state: Dict[str, Any], seq: int) -> Dict[str, Any]:
+        """Publish ``state``, the fold of every record through ``seq``.
+
+        Then move what the snapshot supersedes — older snapshots first,
+        then the records at or below ``seq`` — into ``archive/`` with
+        ``os.replace``.  That order keeps the invariant :meth:`load`
+        relies on: while a snapshot is live, every record after it is
+        live too.  A crash anywhere in between leaves a log that loads
+        the same state; the next snapshot moves the leftovers.  The
+        caller serializes snapshots with its appends (the job queue
+        holds its transaction lock), so ``state`` really is the fold
+        through ``seq``.
+        """
+        record = {"seq": seq, "state": state}
+        envelope = {
+            "schema": f"{self.schema}:snapshot",
+            "version": RECORD_SCHEMA_VERSION,
+            "seq": seq,
+            "created": time.time(),
+            "sha256": canonical_digest(record),
+            "record": record,
+        }
+        path = self.root / f"snapshot-{seq:06d}.json"
+        write_json_atomic(path, envelope)
+        self.archive.mkdir(exist_ok=True)
+        superseded = [p for s, p in self._snapshots() if s < seq]
+        superseded += sorted(
+            self.root / name
+            for name in os.listdir(self.root)
+            if (match := self._record_name.match(name)) and int(match.group(1)) <= seq
+        )
+        for old in superseded:
+            os.replace(old, self.archive / old.name)
+        envelope["path"] = str(path)
+        return envelope

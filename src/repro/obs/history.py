@@ -38,7 +38,6 @@ they fail — the :mod:`repro.io.artifacts` guarantees, applied to JSON.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -107,35 +106,8 @@ def default_history_dir() -> Path:
     return _FALLBACK_HISTORY_DIR
 
 
-def _canonical(record: Any) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"), default=str)
-
-
-def _digest(record: Any) -> str:
-    return hashlib.sha256(_canonical(record).encode("utf-8")).hexdigest()
-
-
 def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._+-]", "_", name)[:64] or "record"
-
-
-def _write_json_atomic(path: Path, document: Dict[str, Any]) -> None:
-    """tmp + fsync + ``os.replace``: the artifact-store write discipline."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 class HistoryStore:
@@ -190,10 +162,11 @@ class HistoryStore:
         name: Optional[str],
         git_sha: Optional[str],
     ) -> Path:
-        # Lazy import: io.artifacts imports from repro.obs at module
-        # scope, so importing it while repro.obs is still initializing
-        # (this module is part of it) would cycle.
+        # Lazy import: io.artifacts and io.records import from repro.obs
+        # at module scope, so importing them while repro.obs is still
+        # initializing (this module is part of it) would cycle.
         from ..io.artifacts import artifact_lock
+        from ..io.records import canonical_digest, write_json_atomic
 
         self.root.mkdir(parents=True, exist_ok=True)
         if git_sha is None:
@@ -212,10 +185,10 @@ class HistoryStore:
                 "name": name,
                 "created": time.time(),
                 "git_sha": git_sha,
-                "sha256": _digest(record),
+                "sha256": canonical_digest(record),
                 "record": record,
             }
-            _write_json_atomic(path, envelope)
+            write_json_atomic(path, envelope)
         return path
 
     def append_run(self, report: Dict[str, Any]) -> Path:
@@ -243,6 +216,7 @@ class HistoryStore:
 
     def _verify(self, path: Path) -> Optional[Dict[str, Any]]:
         from ..io.artifacts import quarantine
+        from ..io.records import canonical_digest
 
         try:
             envelope = json.loads(path.read_text(encoding="utf-8"))
@@ -252,7 +226,7 @@ class HistoryStore:
             not isinstance(envelope, dict)
             or envelope.get("version") != HISTORY_SCHEMA_VERSION
             or not str(envelope.get("schema", "")).startswith("history:")
-            or _digest(envelope.get("record")) != envelope.get("sha256")
+            or canonical_digest(envelope.get("record")) != envelope.get("sha256")
         ):
             from .log import get_logger
 
@@ -311,7 +285,9 @@ class HistoryStore:
         record matching the just-appended payload is skipped and the
         previous run becomes the baseline.
         """
-        current_digest = _digest(current) if current is not None else None
+        from ..io.records import canonical_digest
+
+        current_digest = canonical_digest(current) if current is not None else None
         for envelope in reversed(self.records("bench", name=name)):
             if current_digest is not None and envelope.get("sha256") == current_digest:
                 continue

@@ -8,23 +8,31 @@ for the same config attach to one queue entry and cost one build.
 
 Durability follows the :class:`repro.io.records.RecordLog` discipline:
 every state transition is one appended, checksummed, seq-stamped JSON
-record; nothing is rewritten in place.  Folding the log by sequence
-number yields each job's current :class:`JobView`::
+record; nothing is rewritten in place or deleted.  Folding the log by
+sequence number yields each job's current :class:`JobView`::
 
     queued ──claim──▶ running ──complete──▶ done
        ▲                │  ▲                  (terminal, artifact ready)
        │                │  └─reclaim (owner dead / lease expired)
        └──resubmit── failed ◀──fail──┘
 
+A fold starts from the newest verified snapshot of every job's view
+and applies only the records after it, so its cost is bounded by
+:data:`repro.io.records.SNAPSHOT_INTERVAL`, not by the queue's history.
+
 Transitions that must not race (two workers claiming the same job,
 duplicate submissions landing together) run inside one cross-process
 transaction lock (:func:`repro.io.artifacts.artifact_lock` on
-``<queue>/TXN``): fold, decide, append.  A worker that dies holding a
-job leaves a ``running`` record whose owner pid is dead (or whose
-lease has expired, for owners on another host); the next
-:meth:`JobQueue.claim` reclaims it with a bumped attempt counter, and
-the pipeline's stage checkpoints make the re-run resume bit-identically
-instead of starting over.
+``<queue>/TXN``): fold once, decide, append, then apply the appended
+record to that fold.  When the records since the last snapshot reach
+the interval, the transaction publishes the folded state as a new
+snapshot and moves the records it supersedes into ``queue/archive/``.
+
+A worker that dies holding a job leaves a ``running`` record whose
+owner pid is dead (or whose lease has expired, for owners on another
+host); the next :meth:`JobQueue.claim` reclaims it with a bumped
+attempt counter, and the pipeline's stage checkpoints make the re-run
+resume bit-identically instead of starting over.
 
 The queue also keeps the *build ledger* (``artifacts/builds.jsonl``):
 one appended line per actual pipeline execution, the counting hook the
@@ -38,7 +46,7 @@ import json
 import os
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
@@ -154,6 +162,58 @@ class JobView:
         }
 
 
+def _apply(views: Dict[str, JobView], envelope: Dict[str, Any]) -> None:
+    """Fold one record envelope into ``views`` in place."""
+    record = envelope.get("record") or {}
+    job_id = record.get("job")
+    if not isinstance(job_id, str):
+        return
+    kind = record.get("state")
+    seq = int(envelope.get("seq", 0))
+    created = float(envelope.get("created", 0.0))
+    view = views.get(job_id)
+    if kind == "queued":
+        if view is None or view.state in ("done", "failed"):
+            # First submission, or a resubmission reviving a failed
+            # job; a done job stays done (the new submission deduped
+            # onto the finished result).
+            views[job_id] = JobView(
+                job_id=job_id,
+                state="queued",
+                priority=int(record.get("priority", 0)),
+                seq=seq,
+                updated_seq=seq,
+                attempt=view.attempt if view else 0,
+                submissions=(view.submissions if view else 0) + 1,
+                created=view.created if view else created,
+                updated=created,
+                payload=dict(record.get("payload") or {}),
+            )
+        return
+    if view is None:
+        # A transition without a queued record: tolerate a partially
+        # quarantined log rather than crash.
+        view = views[job_id] = JobView(job_id=job_id, state="queued", seq=seq)
+    view.updated_seq = seq
+    view.updated = created
+    if kind == "attach":
+        view.submissions += 1
+    elif kind == "running":
+        view.state = "running"
+        view.attempt = int(record.get("attempt", view.attempt + 1))
+        view.owner = dict(record.get("owner") or {})
+        if record.get("priority") is not None:
+            view.priority = int(record["priority"])
+    elif kind == "done":
+        view.state = "done"
+        view.owner = None
+        view.result = dict(record.get("result") or {})
+    elif kind == "failed":
+        view.state = "failed"
+        view.owner = None
+        view.error = str(record.get("error") or "unknown error")
+
+
 class JobQueue:
     """Persistent, crash-safe job queue rooted at a service directory."""
 
@@ -171,59 +231,32 @@ class JobQueue:
     # -- folding -----------------------------------------------------------
 
     def jobs(self) -> Dict[str, JobView]:
-        """Fold the record log into each job's current state."""
+        """Each job's current state: the newest snapshot plus the records after it.
+
+        The same state a fold over every record ever appended gives.
+        """
+        snapshot, tail = self.log.load()
         out: Dict[str, JobView] = {}
-        for envelope in self.log.read():
-            record = envelope.get("record") or {}
-            job_id = record.get("job")
-            if not isinstance(job_id, str):
-                continue
-            kind = record.get("state")
-            seq = int(envelope.get("seq", 0))
-            created = float(envelope.get("created", 0.0))
-            view = out.get(job_id)
-            if kind == "queued":
-                if view is None or view.state in ("done", "failed"):
-                    # First submission, or a resubmission reviving a
-                    # failed job; a done job stays done (the new
-                    # submission deduped onto the finished result).
-                    fresh = JobView(
-                        job_id=job_id,
-                        state="queued",
-                        priority=int(record.get("priority", 0)),
-                        seq=seq,
-                        updated_seq=seq,
-                        attempt=view.attempt if view else 0,
-                        submissions=(view.submissions if view else 0) + 1,
-                        created=view.created if view else created,
-                        updated=created,
-                        payload=dict(record.get("payload") or {}),
-                    )
-                    out[job_id] = fresh
-                continue
-            if view is None:
-                # A transition without a queued record: tolerate a
-                # partially quarantined log rather than crash.
-                view = out[job_id] = JobView(job_id=job_id, state="queued", seq=seq)
-            view.updated_seq = seq
-            view.updated = created
-            if kind == "attach":
-                view.submissions += 1
-            elif kind == "running":
-                view.state = "running"
-                view.attempt = int(record.get("attempt", view.attempt + 1))
-                view.owner = dict(record.get("owner") or {})
-                if record.get("priority") is not None:
-                    view.priority = int(record["priority"])
-            elif kind == "done":
-                view.state = "done"
-                view.owner = None
-                view.result = dict(record.get("result") or {})
-            elif kind == "failed":
-                view.state = "failed"
-                view.owner = None
-                view.error = str(record.get("error") or "unknown error")
+        if snapshot is not None:
+            for doc in snapshot["record"]["state"]["jobs"]:
+                out[doc["job_id"]] = JobView(**doc)
+        for envelope in tail:
+            _apply(out, envelope)
         return out
+
+    def _commit(self, views: Dict[str, JobView], envelope: Dict[str, Any]) -> JobView:
+        """Apply a just-appended envelope to the transaction's fold.
+
+        Caller holds the transaction lock, so ``views`` plus this
+        envelope is the fold through its seq; when a snapshot is due,
+        that state is published as one.
+        """
+        _apply(views, envelope)
+        seq = envelope["seq"]
+        if self.log.snapshot_due(seq):
+            state = {"jobs": [asdict(view) for view in views.values()]}
+            self.log.snapshot(state, seq)
+        return views[envelope["record"]["job"]]
 
     def get(self, job_id: str) -> Optional[JobView]:
         """One job's current state, or None."""
@@ -251,22 +284,23 @@ class JobQueue:
             "config": dict(sorted(config_fields(config).items())),
         }
         with self._txn():
-            existing = self.jobs().get(job_id)
+            views = self.jobs()
+            existing = views.get(job_id)
             if existing is not None and existing.state != "failed":
-                self.log.append(
+                envelope = self.log.append(
                     {"job": job_id, "state": "attach", "priority": int(priority)},
                     tag=f"{job_id}-attach",
                 )
+                view = self._commit(views, envelope)
                 metrics().counter_add("service.submissions_deduped", 1)
-                existing.submissions += 1
                 log.info(
                     "submission deduped onto %s job %s (%d submissions)",
-                    existing.state,
+                    view.state,
                     job_id,
-                    existing.submissions,
+                    view.submissions,
                 )
-                return existing, True
-            self.log.append(
+                return view, True
+            envelope = self.log.append(
                 {
                     "job": job_id,
                     "state": "queued",
@@ -275,8 +309,8 @@ class JobQueue:
                 },
                 tag=f"{job_id}-queued",
             )
+            view = self._commit(views, envelope)
             metrics().counter_add("service.submissions", 1)
-            view = self.jobs()[job_id]
         log.info("queued job %s (priority %d)", job_id, priority)
         return view, False
 
@@ -305,8 +339,9 @@ class JobQueue:
         bumped attempt counter — the resumption path.
         """
         with self._txn():
+            views = self.jobs()
             candidates = []
-            for view in self.jobs().values():
+            for view in views.values():
                 if view.state == "queued":
                     candidates.append(view)
                 elif view.state == "running" and self._abandoned(view, lease_timeout):
@@ -316,7 +351,7 @@ class JobQueue:
             best = max(candidates, key=lambda v: (v.priority, -v.seq))
             reclaimed = best.state == "running"
             attempt = best.attempt + 1
-            self.log.append(
+            envelope = self.log.append(
                 {
                     "job": best.job_id,
                     "state": "running",
@@ -330,7 +365,7 @@ class JobQueue:
                 },
                 tag=f"{best.job_id}-running",
             )
-            view = self.jobs()[best.job_id]
+            view = self._commit(views, envelope)
         if reclaimed:
             metrics().counter_add("service.jobs_reclaimed", 1)
             log.warning(
@@ -345,11 +380,12 @@ class JobQueue:
     def complete(self, job_id: str, worker: str, result: Dict[str, Any]) -> JobView:
         """Mark a job done, recording the result summary."""
         with self._txn():
-            self.log.append(
+            views = self.jobs()
+            envelope = self.log.append(
                 {"job": job_id, "state": "done", "worker": worker, "result": result},
                 tag=f"{job_id}-done",
             )
-            view = self.jobs()[job_id]
+            view = self._commit(views, envelope)
         metrics().counter_add("service.jobs_done", 1)
         log.info("job %s done (worker %s)", job_id, worker)
         return view
@@ -357,11 +393,12 @@ class JobQueue:
     def fail(self, job_id: str, worker: str, error: str) -> JobView:
         """Mark a job failed, recording the error."""
         with self._txn():
-            self.log.append(
+            views = self.jobs()
+            envelope = self.log.append(
                 {"job": job_id, "state": "failed", "worker": worker, "error": error},
                 tag=f"{job_id}-failed",
             )
-            view = self.jobs()[job_id]
+            view = self._commit(views, envelope)
         metrics().counter_add("service.jobs_failed", 1)
         log.warning("job %s failed (worker %s): %s", job_id, worker, error)
         return view
@@ -428,9 +465,7 @@ def config_fields(config: AnalysisConfig) -> Dict[str, Any]:
     payload aligned with ``full_key()``, so two submissions differing
     only in, say, ``n_jobs`` dedup onto one job.
     """
-    import dataclasses
-
-    fields = dataclasses.asdict(config)
+    fields = asdict(config)
     for knob in AnalysisConfig.EXECUTION_KNOBS:
         fields.pop(knob, None)
     return fields

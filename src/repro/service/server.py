@@ -32,6 +32,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     api: ServiceAPI  # set by make_server on the subclass
     protocol_version = "HTTP/1.1"
+    # _respond sends headers and body in two writes; with Nagle's
+    # algorithm on, a keep-alive client's delayed ACK holds the body
+    # back about 40 ms per response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Fault injectors for the crash-safety test suite.
 
-Shared by ``tests/io/test_faults.py`` and ``tests/core/test_resume.py``:
-byte-level corruption of on-disk artifacts (truncation, bit flips, torn
-writes), subprocess writers SIGKILLed at chosen points inside the
-atomic-write protocol, and lock holders that die while holding an
+Shared by ``tests/io/test_faults.py``, ``tests/core/test_resume.py`` and
+``tests/service/test_snapshots.py``: byte-level corruption of on-disk
+artifacts (truncation, bit flips, torn writes), subprocess writers
+SIGKILLed at chosen points inside the atomic-write protocol or inside a
+job-queue snapshot, and lock holders that die while holding an
 advisory lock.  Everything is deterministic — no timing-based kills.
 """
 
@@ -72,6 +73,60 @@ def crash_writer(path: Path, when: str = "before_replace") -> int:
     """
     proc = subprocess.run(
         [sys.executable, "-c", _WRITER_CODE, str(path), when],
+        env=env_with_src(),
+        capture_output=True,
+    )
+    return proc.returncode
+
+
+_COMPACTOR_CODE = """
+import os, signal, sys
+from repro.config import AnalysisConfig
+from repro.io import records
+from repro.service import JobQueue
+
+root, when, interval = sys.argv[1], sys.argv[2], int(sys.argv[3])
+records.SNAPSHOT_INTERVAL = interval
+real_replace = os.replace
+archived = 0
+
+def killing_replace(src, dst):
+    global archived
+    real_replace(src, dst)
+    parent, name = os.path.split(os.fspath(dst))
+    if os.path.basename(parent) == "archive":
+        archived += 1
+        if when == "mid_archive" and archived == interval // 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+    elif when == "after_snapshot" and name.startswith("snapshot-"):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+os.replace = killing_replace
+queue = JobQueue(root)
+cfg = AnalysisConfig.tiny()
+for i in range(4 * interval):
+    queue.submit(suites=["BMW"], config=cfg.replace(seed=i % 7))
+    view = queue.claim("crasher")
+    if view is not None and i % 3 == 0:
+        queue.fail(view.job_id, "crasher", "boom")
+    elif view is not None:
+        queue.complete(view.job_id, "crasher", {"i": i})
+print("NO-CRASH", flush=True)
+"""
+
+
+def crash_queue_compaction(service_root: Path, when: str, interval: int) -> int:
+    """Drive a job queue in a subprocess SIGKILLed inside its first snapshot.
+
+    The child sets the snapshot interval to ``interval`` and mixes
+    submits, dedup attaches, claims, completions and failures until
+    the first snapshot: ``after_snapshot`` dies right after the
+    snapshot's ``os.replace`` publishes it, before any superseded file
+    moves into ``archive/``; ``mid_archive`` dies after ``interval // 2``
+    of those moves.  Returns the subprocess's return code (-SIGKILL).
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _COMPACTOR_CODE, str(service_root), when, str(interval)],
         env=env_with_src(),
         capture_output=True,
     )

@@ -82,6 +82,27 @@ def test_corrupt_record_is_quarantined_not_served(tmp_path):
     assert any("corrupt" in name for name in leftovers)
 
 
+def test_record_written_before_the_shared_digest_still_verifies(tmp_path):
+    # tests/data/history_v1 was written by the store's own digest and
+    # atomic-write helpers, before it used repro.io.records' ones.
+    import shutil
+    from pathlib import Path
+
+    from repro.io.records import canonical_digest
+
+    fixture = Path(__file__).resolve().parents[1] / "data" / "history_v1"
+    shutil.copytree(fixture, tmp_path / "history")
+    store = HistoryStore(tmp_path / "history")
+    runs = store.records("run")
+    benches = store.records("bench", name="e2e_wall")
+    assert [e["run_id"] for e in runs] == ["legacy-run"]
+    assert benches[0]["record"]["note"] == "caf\u00e9 \u2713"
+    for envelope in runs + benches:
+        assert envelope["sha256"] == canonical_digest(envelope["record"])
+    assert not list((tmp_path / "history").rglob("*.corrupt-*"))
+    assert store.append_run(_report("r3")).name.startswith("run-000003-")
+
+
 def test_get_resolves_latest_seq_and_run_id_prefix(tmp_path):
     store = HistoryStore(tmp_path)
     store.append_run(_report("aaa111"))

@@ -1,7 +1,9 @@
 """Unit tests for the generic append-only record log."""
 
 import json
+import os
 
+from repro.io.artifacts import quarantine
 from repro.io.records import RECORD_SCHEMA_VERSION, RecordLog, canonical_digest
 
 
@@ -38,6 +40,22 @@ class TestAppendRead:
         envelope = log.append({"i": 2})
         # Scanning the record files themselves prevents seq reuse.
         assert envelope["seq"] == 3
+        # Compacted: every record is archived, the snapshot is the only
+        # live file holding a seq.
+        log.snapshot({"n": 3}, 3)
+        (log.root / "COUNTER").unlink()
+        assert log.append({"i": 3})["seq"] == 4
+        # Snapshot quarantined: its renamed copy still holds the seq.
+        log.snapshot({"n": 4}, 4)
+        quarantine(log.root / "snapshot-000004.json")
+        (log.root / "COUNTER").unlink()
+        assert log.append({"i": 4})["seq"] == 5
+        # Nothing live at all: only archive/ knows the seqs.
+        log.snapshot({"n": 5}, 5)
+        for path in log.root.glob("snapshot-*"):
+            os.replace(path, log.archive / path.name)
+        (log.root / "COUNTER").unlink()
+        assert log.append({"i": 5})["seq"] == 6
 
 
 class TestVerification:

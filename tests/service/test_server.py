@@ -58,6 +58,28 @@ class TestTransport:
         finally:
             conn.close()
 
+    def test_keep_alive_responses_do_not_stall(self, live):
+        # Nagle's algorithm against the client's delayed ACK would hold
+        # each response body back about 40 ms on a reused connection.
+        import statistics
+        import time
+
+        client, _ = live
+        host, port = client.base_url.replace("http://", "").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        latencies = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                conn.request("GET", "/health")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+                latencies.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.02, latencies
+
     def test_oversized_declared_body_is_413_before_upload(self, live):
         client, _ = live
         host, port = client.base_url.replace("http://", "").split(":")
