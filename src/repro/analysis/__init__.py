@@ -11,7 +11,6 @@ from .coverage import coverage_from_compositions, suite_coverage
 from .diversity import clusters_to_cover, cumulative_coverage, curves_from_compositions
 from .drift import (
     GENERATION_PAIRS,
-    StreamingDriftMonitor,
     benchmark_centroid,
     benchmark_drift,
     generation_drift,
@@ -47,7 +46,6 @@ __all__ = [
     "ClusterKind",
     "PhaseBasedSimulation",
     "SimilarityPredictor",
-    "StreamingDriftMonitor",
     "SubsetSelection",
     "ascii_timeline",
     "benchmark_centroid",

@@ -10,7 +10,7 @@ generations, and how much did the suites' occupied regions shift?
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -57,70 +57,6 @@ def generation_drift(
         f"{new[0]}/{new[1]}": benchmark_drift(result, old, new)
         for old, new in pairs
     }
-
-
-class StreamingDriftMonitor:
-    """Generation drift measured while the stream is still running.
-
-    The batch analyses above need a finished
-    :class:`PhaseCharacterization`; this monitor needs only running
-    per-benchmark sums in whatever space the stream is projected into
-    (the streaming engine feeds it rescaled-PCA-space batches).  Since
-    a centroid is just ``sum / count``, drift estimates are available
-    after any prefix of the stream — characterize-while-running — and
-    converge to the batch answer when the stream completes.
-    """
-
-    def __init__(self) -> None:
-        self._sums: Dict[Tuple[str, str], np.ndarray] = {}
-        self._counts: Dict[Tuple[str, str], int] = {}
-
-    @property
-    def n_rows(self) -> int:
-        """Rows folded in so far."""
-        return sum(self._counts.values())
-
-    def update(
-        self, suites: np.ndarray, benchmarks: np.ndarray, points: np.ndarray
-    ) -> None:
-        """Fold one row-parallel batch into the running centroids."""
-        if not (len(suites) == len(benchmarks) == len(points)):
-            raise ValueError("row-parallel arrays have mismatched lengths")
-        keys = np.char.add(np.char.add(suites.astype(str), "/"), benchmarks.astype(str))
-        for key in np.unique(keys):
-            mask = keys == key
-            suite, name = str(key).split("/", 1)
-            block = points[mask]
-            pair = (suite, name)
-            if pair in self._sums:
-                self._sums[pair] = self._sums[pair] + block.sum(axis=0)
-                self._counts[pair] += int(mask.sum())
-            else:
-                self._sums[pair] = block.sum(axis=0)
-                self._counts[pair] = int(mask.sum())
-
-    def centroid(self, suite: str, name: str) -> np.ndarray:
-        """The benchmark's running centroid over the rows seen so far."""
-        pair = (suite, name)
-        if pair not in self._sums:
-            raise KeyError(f"benchmark {suite}/{name} not seen in the stream yet")
-        return self._sums[pair] / self._counts[pair]
-
-    def drift(
-        self,
-        pairs: Sequence[Tuple[Tuple[str, str], Tuple[str, str]]] = GENERATION_PAIRS,
-    ) -> Dict[str, Optional[float]]:
-        """Running drift per pair; ``None`` until both sides have rows."""
-        out: Dict[str, Optional[float]] = {}
-        for old, new in pairs:
-            key = f"{new[0]}/{new[1]}"
-            if tuple(old) in self._sums and tuple(new) in self._sums:
-                out[key] = float(
-                    np.linalg.norm(self.centroid(*new) - self.centroid(*old))
-                )
-            else:
-                out[key] = None
-        return out
 
 
 def typical_benchmark_distance(

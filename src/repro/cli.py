@@ -77,11 +77,17 @@ def _cmd_suites(args: argparse.Namespace) -> int:
 
 
 def _select_benchmarks(suite_names: Optional[List[str]]):
+    """The benchmarks of the named suites; a bad name is a usage error (exit 2)."""
     if not suite_names:
         return all_benchmarks()
     benches = []
     for name in suite_names:
-        benches.extend(get_suite(name).benchmarks)
+        try:
+            suite = get_suite(name)
+        except KeyError as exc:
+            print(f"repro characterize: error: {exc.args[0]}", file=sys.stderr)
+            raise SystemExit(2) from None
+        benches.extend(suite.benchmarks)
     return benches
 
 
@@ -102,18 +108,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             config = config.replace(parallel_backend=args.parallel_backend)
         if args.kmeans_engine is not None:
             config = config.replace(kmeans_engine=args.kmeans_engine)
-        if args.streaming:
-            config = config.replace(streaming=True)
-        if args.batch_intervals is not None:
-            config = config.replace(batch_intervals=args.batch_intervals)
-        if not args.spool:
-            config = config.replace(spool=False)
-        if args.spool_dir is not None:
-            config = config.replace(spool_dir=args.spool_dir)
-        if args.spool_max_mb is not None:
-            config = config.replace(spool_max_bytes=args.spool_max_mb * 1_000_000)
-        if args.prefetch is not None:
-            config = config.replace(prefetch=args.prefetch)
     except ValueError as exc:
         raise SystemExit(f"repro characterize: error: {exc}")
     benches = _select_benchmarks(args.suite)
@@ -128,8 +122,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
         json_format=args.log_json,
         run_id=run_id,
     )
-    if config.streaming:
-        return _characterize_streaming(args, config, benches, feature_cache, run_id)
     # Stage-level crash safety lives in characterize_to_file: dataset ->
     # analysis -> GA each land atomically in <output>.stages/ as they
     # complete.  With --resume (the default) a re-run of a killed
@@ -173,64 +165,6 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
     )
     if result.key_characteristics:
         print("key characteristics: " + ", ".join(result.key_characteristics))
-    return 0
-
-
-def _characterize_streaming(
-    args: argparse.Namespace, config, benches, feature_cache, run_id: str
-) -> int:
-    """The ``--streaming`` branch: bounded-memory engine, own artifact.
-
-    Streaming never holds the matrix, so there is no dataset stage to
-    checkpoint.  By default the engine featurizes exactly once and
-    replays every later pass from its memory-mapped spool
-    (``--spool-dir`` makes that survive across runs); ``--no-spool``
-    recomputes each pass, where ``--feature-cache`` turns the repeats
-    into disk reads.
-    """
-    from .analysis import StreamingDriftMonitor
-    from .streaming import run_streaming_characterization, save_streaming_result
-
-    print(
-        f"characterizing {len(benches)} benchmarks at preset {args.preset!r} "
-        f"(streaming, {config.batch_intervals} intervals/batch)..."
-    )
-    monitor = StreamingDriftMonitor()
-    observation = None
-    context, bus = _telemetry_context(args, config, run_id, len(benches))
-    ok = False
-    try:
-        with context as observation:
-            with obs.span(
-                "characterize.streaming", preset=args.preset, benchmarks=len(benches)
-            ):
-                result = run_streaming_characterization(
-                    benches, config, feature_cache=feature_cache, monitor=monitor
-                )
-        save_streaming_result(result, args.output)
-        _finish_telemetry(args, config, observation)
-        ok = True
-    finally:
-        if bus is not None:
-            if observation is not None:
-                bus.emit_metric_deltas(observation.metrics)
-            bus.close(ok=ok)
-    print(
-        f"saved {args.output}: {len(result)} intervals (streamed), "
-        f"{result.n_components} components "
-        f"({100 * result.explained_variance:.1f}% variance), "
-        f"{result.clustering.k} clusters, "
-        f"{len(result.prominent)} prominent phases "
-        f"({100 * result.prominent.coverage:.1f}% coverage)"
-    )
-    print(
-        f"sweeps: {result.featurize_sweeps} featurized, "
-        f"{result.replay_sweeps} replayed "
-        f"({result.spool_bytes / 1e6:.1f} MB spooled)"
-    )
-    drifts = {k: v for k, v in monitor.drift().items() if v is not None}
-    for key, value in sorted(drifts.items()):
-        print(f"generation drift {key}: {value:.2f}")
     return 0
 
 
@@ -626,57 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="per-benchmark feature-block cache directory; reruns only "
         "characterize intervals no earlier run has touched",
-    )
-    p.add_argument(
-        "--streaming",
-        action="store_true",
-        help="bounded-memory engine: featurize in batches, incremental "
-        "PCA, mini-batch k-means.  Approximate (see docs/methodology.md); "
-        "the default exact path pins correctness.  Stage checkpoints do "
-        "not apply; the feature spool (on by default) makes every pass "
-        "after the first a zero-copy replay",
-    )
-    p.add_argument(
-        "--batch-intervals",
-        type=int,
-        default=None,
-        metavar="N",
-        help="intervals per streamed batch (peak working set is O(N); "
-        "default: preset value, 256)",
-    )
-    p.add_argument(
-        "--spool",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="featurize the streaming plan once into an on-disk "
-        "memory-mapped spool and replay every later pass zero-copy "
-        "(bit-identical; --no-spool recomputes each pass)",
-    )
-    p.add_argument(
-        "--spool-dir",
-        default=None,
-        metavar="DIR",
-        help="keep the feature spool in DIR instead of a per-run "
-        "temporary directory; a rerun of the same plan then skips "
-        "featurization entirely",
-    )
-    p.add_argument(
-        "--spool-max-mb",
-        type=int,
-        default=None,
-        metavar="MB",
-        help="disk budget for the spool in megabytes; a spool that "
-        "would exceed it is declined and passes recompute instead "
-        "(default: unlimited)",
-    )
-    p.add_argument(
-        "--prefetch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="streamed batches generated+metered ahead of consumption "
-        "on the featurizing sweep (bounded queue; 0 disables; "
-        "default: 1)",
     )
     p.add_argument(
         "--resume",

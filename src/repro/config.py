@@ -15,7 +15,6 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,8 @@ class AnalysisConfig:
 
     Execution knobs control how the hot stages run without affecting
     what they compute (results are bit-identical for a fixed seed at any
-    worker count, spool state, or prefetch depth, so none of them
-    participates in cache keys):
+    worker count, backend or engine, so none of them participates in
+    cache keys):
 
     * ``n_jobs`` — parallel workers for dataset build and k-means
       restarts; ``-1`` means all cores, ``1`` means serial.
@@ -55,33 +54,6 @@ class AnalysisConfig:
       ``REPRO_REFERENCE_KMEANS``, then adapts to the clustering shape:
       plain Lloyd below the measured ``n x k`` crossover, the
       triangle-inequality engine above it.
-    * ``spool`` — featurize the streaming plan once and replay every
-      later sweep zero-copy from an on-disk memory-mapped store
-      (:class:`repro.io.FeatureSpool`); replayed arrays are
-      bit-identical to recomputed ones.
-    * ``spool_dir`` — where the spool lives; None (the default) uses a
-      per-run temporary directory removed at the end.  A persistent
-      directory lets a rerun of the same plan skip even the first
-      featurization sweep.
-    * ``spool_max_bytes`` — disk budget for the spool; a spool that
-      would exceed it is declined upfront and the engine degrades to
-      recompute-per-pass.  0 means unlimited.
-    * ``prefetch`` — streamed batches produced ahead of consumption on
-      a featurizing sweep (bounded queue, ordered handoff); 0 disables
-      the pipeline.
-
-    Two further knobs select the *streaming* analysis path
-    (:mod:`repro.streaming`).  Unlike the execution knobs they change
-    what is computed — the streaming path trades bounded memory for a
-    measured approximation gap — so both participate in ``full_key``:
-
-    * ``streaming`` — run the bounded-memory engine (incremental PCA +
-      mini-batch k-means over featurization batches) instead of
-      materializing the full dataset.  The exact path stays the
-      default and pins correctness.
-    * ``batch_intervals`` — intervals held in memory per streaming
-      batch; the peak working set is ``O(batch_intervals)``, never
-      ``O(total intervals)``.
     """
 
     interval_instructions: int = 10_000
@@ -102,23 +74,9 @@ class AnalysisConfig:
     n_jobs: int = 1
     parallel_backend: str = "auto"
     kmeans_engine: str = "auto"
-    streaming: bool = False
-    batch_intervals: int = 256
-    spool: bool = True
-    spool_dir: Optional[str] = None
-    spool_max_bytes: int = 0
-    prefetch: int = 1
 
     #: Fields that control execution, not results; excluded from cache keys.
-    EXECUTION_KNOBS = (
-        "n_jobs",
-        "parallel_backend",
-        "kmeans_engine",
-        "spool",
-        "spool_dir",
-        "spool_max_bytes",
-        "prefetch",
-    )
+    EXECUTION_KNOBS = ("n_jobs", "parallel_backend", "kmeans_engine")
 
     def __post_init__(self) -> None:
         if self.interval_instructions <= 0:
@@ -139,14 +97,6 @@ class AnalysisConfig:
             raise ValueError(
                 "kmeans_engine must be one of auto, accelerated, reference"
             )
-        if self.batch_intervals < 1:
-            raise ValueError("batch_intervals must be >= 1")
-        if self.spool_dir is not None and not str(self.spool_dir):
-            raise ValueError("spool_dir must be a non-empty path or None")
-        if self.spool_max_bytes < 0:
-            raise ValueError("spool_max_bytes must be >= 0 (0 = unlimited)")
-        if self.prefetch < 0:
-            raise ValueError("prefetch must be >= 0 (0 = no prefetch)")
 
     @classmethod
     def paper(cls) -> "AnalysisConfig":
@@ -236,8 +186,8 @@ class AnalysisConfig:
 
         Used to key cached full characterizations (clustering + GA),
         which depend on the analysis parameters as well as the
-        featurization parameters.  Execution knobs (``n_jobs``,
-        ``parallel_backend``) are excluded: they change how fast the
+        featurization parameters.  Execution knobs
+        (:attr:`EXECUTION_KNOBS`) are excluded: they change how fast the
         answer arrives, never what it is.
         """
         fields = dataclasses.asdict(self)

@@ -1,13 +1,6 @@
 """The paper's phase-level characterization methodology, end to end."""
 
-from .dataset import (
-    FeatureBatch,
-    SamplingPlan,
-    WorkloadDataset,
-    build_dataset,
-    build_sampling_plan,
-    iter_feature_batches,
-)
+from .dataset import WorkloadDataset, build_dataset
 from .pipeline import (
     PhaseCharacterization,
     characterize_to_file,
@@ -25,15 +18,11 @@ from .results import (
 from .sampling import sample_interval_indices
 
 __all__ = [
-    "FeatureBatch",
     "PhaseCharacterization",
     "ProminentPhases",
-    "SamplingPlan",
     "WorkloadDataset",
     "build_dataset",
-    "build_sampling_plan",
     "characterize_to_file",
-    "iter_feature_batches",
     "dataset_arrays",
     "dataset_from_arrays",
     "load_characterization",

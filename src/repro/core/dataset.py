@@ -9,7 +9,7 @@ came from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -223,215 +223,3 @@ def build_dataset(
         benchmarks=np.array(names),
         interval_indices=np.array(indices, dtype=np.int64),
     )
-
-
-@dataclass(frozen=True)
-class SamplingPlan:
-    """The dataset's row layout, known before any interval is featurized.
-
-    Sampling (methodology step 2) depends only on the config and each
-    benchmark's nominal length, so the full row sequence — benchmark
-    order, per-benchmark sorted picks, duplicates included — is fixed
-    upfront.  The streaming path plans against it: row ``i`` of the
-    plan is row ``i`` of the exact path's :class:`WorkloadDataset`, so
-    streamed results align row-for-row with materialized ones.
-    """
-
-    benchmarks: Tuple[Benchmark, ...]
-    picks: Tuple[np.ndarray, ...]
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """Global row offset of each benchmark's first row (+ total)."""
-        return np.concatenate(
-            [[0], np.cumsum([len(p) for p in self.picks])]
-        ).astype(np.int64)
-
-    @property
-    def total_rows(self) -> int:
-        return int(sum(len(p) for p in self.picks))
-
-    def provenance(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The ``(suites, benchmarks, interval_indices)`` row arrays."""
-        suites = np.concatenate(
-            [np.repeat(b.suite, len(p)) for b, p in zip(self.benchmarks, self.picks)]
-        )
-        names = np.concatenate(
-            [np.repeat(b.name, len(p)) for b, p in zip(self.benchmarks, self.picks)]
-        )
-        indices = np.concatenate(self.picks).astype(np.int64)
-        return suites, names, indices
-
-
-def build_sampling_plan(
-    benchmarks: Sequence[Benchmark],
-    config: AnalysisConfig,
-    *,
-    counts: Optional[Dict[str, int]] = None,
-) -> SamplingPlan:
-    """Draw every benchmark's interval picks without featurizing any.
-
-    Identical sampling discipline to :func:`build_dataset` (same keyed
-    streams, same sort, same duplicate handling), factored out so the
-    streaming engine can fix the row layout — total rows, restart
-    initialization rows, batch boundaries — before the first trace is
-    generated.
-    """
-    if not benchmarks:
-        raise ValueError("need at least one benchmark")
-    picks = []
-    for bench in benchmarks:
-        n_samples = config.intervals_per_benchmark
-        if counts is not None:
-            n_samples = counts.get(bench.key, n_samples)
-        picks.append(sample_interval_indices(bench, n_samples, seed=config.seed))
-    return SamplingPlan(benchmarks=tuple(benchmarks), picks=tuple(picks))
-
-
-@dataclass(frozen=True)
-class FeatureBatch:
-    """One streamed slice of the dataset: consecutive plan rows.
-
-    ``features[i]`` belongs to global row ``start + i``; the
-    provenance arrays are row-parallel, exactly like
-    :class:`WorkloadDataset` fields restricted to the slice.
-    """
-
-    start: int
-    features: np.ndarray
-    suites: np.ndarray
-    benchmarks: np.ndarray
-    interval_indices: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.features)
-
-
-def _featurize_segment(
-    bench: Benchmark,
-    config: AnalysisConfig,
-    seg_picks: np.ndarray,
-    cached: Optional[Dict[int, np.ndarray]],
-    fresh: Dict[int, np.ndarray],
-) -> np.ndarray:
-    """Feature rows for one benchmark's slice of a streaming batch.
-
-    Same featurization discipline as :func:`_characterize_benchmark`:
-    duplicates collapse to one computation, cached vectors short-
-    circuit, uncached intervals run through the fused whole-trace
-    meters in :data:`~repro.mica.FUSED_BATCH_INSTRUCTIONS`-bounded
-    groups.  Per-interval vectors are bit-identical regardless of how
-    the stream is batched (pinned in ``tests/mica/test_fused.py``).
-    """
-    unique_picks, inverse = np.unique(seg_picks, return_inverse=True)
-    vectors = np.empty((len(unique_picks), N_FEATURES), dtype=np.float64)
-    to_compute = []
-    for j, interval_idx in enumerate(unique_picks):
-        interval_idx = int(interval_idx)
-        vec = fresh.get(interval_idx)
-        if vec is None and cached is not None:
-            vec = cached.get(interval_idx)
-        if vec is None:
-            to_compute.append((j, interval_idx))
-        else:
-            vectors[j] = vec
-    for batch in batch_slices(len(to_compute), config.interval_instructions):
-        chunk = to_compute[batch]
-        traces = list(
-            bench.program.iter_interval_traces(
-                [idx for _, idx in chunk], config.interval_instructions
-            )
-        )
-        matrix = characterize_intervals(traces, config)
-        for (j, interval_idx), vec in zip(chunk, matrix):
-            fresh[interval_idx] = vec
-            vectors[j] = vec
-    metrics().counter_add_many(
-        [
-            ("streaming.rows", float(len(seg_picks))),
-            ("streaming.intervals_characterized", float(len(to_compute))),
-        ]
-    )
-    return vectors[inverse]
-
-
-def iter_feature_batches(
-    plan: SamplingPlan,
-    config: AnalysisConfig,
-    *,
-    batch_intervals: Optional[int] = None,
-    feature_cache=None,
-) -> Iterator[FeatureBatch]:
-    """Featurize the plan's rows in bounded, consecutive batches.
-
-    The bounded-memory featurization front of the streaming engine:
-    each yielded :class:`FeatureBatch` covers the next
-    ``batch_intervals`` plan rows (the last one may be shorter), and
-    the working set is ``O(batch_intervals)`` — one batch of feature
-    rows plus at most one in-flight interval trace — never the whole
-    matrix.  Batches may span benchmark boundaries; that changes
-    nothing, because intervals are seeded and metered independently.
-
-    With a ``feature_cache``, each benchmark's block is loaded when
-    the stream enters the benchmark and dropped when it leaves, and
-    newly computed vectors are merged back at the same moment — so a
-    cache-warm pass computes nothing, and memory gains one block
-    (``O(intervals_per_benchmark)``), still independent of the total
-    stream length.  Without a cache only the previous segment's last
-    vector is carried, to serve a duplicate pick straddling a batch
-    boundary.
-    """
-    if batch_intervals is None:
-        batch_intervals = config.batch_intervals
-    if batch_intervals < 1:
-        raise ValueError("batch_intervals must be >= 1")
-    offsets = plan.offsets
-    total = plan.total_rows
-    cached: Optional[Dict[int, np.ndarray]] = None
-    fresh: Dict[int, np.ndarray] = {}
-    current_bench = -1
-    for start in range(0, total, batch_intervals):
-        stop = min(start + batch_intervals, total)
-        features = np.empty((stop - start, N_FEATURES), dtype=np.float64)
-        suites: List[str] = []
-        names: List[str] = []
-        indices: List[int] = []
-        for i, bench in enumerate(plan.benchmarks):
-            lo = max(start, int(offsets[i]))
-            hi = min(stop, int(offsets[i + 1]))
-            if lo >= hi:
-                continue
-            if i != current_bench:
-                current_bench = i
-                fresh = {}
-                cached = (
-                    feature_cache.load(bench.key, config)
-                    if feature_cache is not None
-                    else None
-                )
-            seg_picks = plan.picks[i][lo - int(offsets[i]) : hi - int(offsets[i])]
-            features[lo - start : hi - start] = _featurize_segment(
-                bench, config, seg_picks, cached, fresh
-            )
-            suites.extend([bench.suite] * (hi - lo))
-            names.extend([bench.name] * (hi - lo))
-            indices.extend(int(p) for p in seg_picks)
-            if hi == int(offsets[i + 1]):
-                # Leaving the benchmark: persist what this pass computed
-                # and release its block.
-                if feature_cache is not None and fresh:
-                    feature_cache.store(bench.key, config, fresh)
-                fresh = {}
-                cached = None
-            elif feature_cache is None and fresh:
-                # Bounded carry: only a duplicate of the segment's last
-                # pick can recur in the next batch (picks are sorted).
-                last = int(seg_picks[-1])
-                fresh = {last: fresh[last]} if last in fresh else {}
-        yield FeatureBatch(
-            start=start,
-            features=features,
-            suites=np.array(suites),
-            benchmarks=np.array(names),
-            interval_indices=np.array(indices, dtype=np.int64),
-        )

@@ -21,19 +21,16 @@ from .cache import (
 )
 from .feature_blocks import FeatureBlockCache
 from .records import RECORD_SCHEMA_VERSION, RecordLog, canonical_digest, write_json_atomic
-from .spool import FeatureSpool, SpoolWriter
 from .tables import format_table
 
 __all__ = [
     "ArtifactError",
     "CorruptArtifact",
     "FeatureBlockCache",
-    "FeatureSpool",
     "LockTimeout",
     "RECORD_SCHEMA_VERSION",
     "RecordLog",
     "SchemaMismatch",
-    "SpoolWriter",
     "StageCheckpoint",
     "artifact_lock",
     "cached_characterization",

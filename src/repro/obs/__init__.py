@@ -61,7 +61,6 @@ from .report import (
     REQUIRED_KEYS,
     SCHEMA_VERSION,
     STAGES,
-    STREAMING_STAGES,
     build_report,
     git_sha,
     load_report,
@@ -91,7 +90,6 @@ __all__ = [
     "REQUIRED_KEYS",
     "SCHEMA_VERSION",
     "STAGES",
-    "STREAMING_STAGES",
     "ConsoleFormatter",
     "EventBuffer",
     "EventBus",

@@ -125,7 +125,7 @@ class ProgressEstimator:
 
     The totals come from quantities the pipeline already knows before
     the stage starts — benchmarks in the sampling plan, k-means restart
-    count, streamed-batch ledger — so the estimate needs no model: with
+    count, GA generations — so the estimate needs no model: with
     ``done`` of ``total`` units finished in ``elapsed`` seconds, the
     remaining ``total - done`` units cost ``elapsed * (total - done) /
     done`` more.
@@ -270,7 +270,7 @@ class EventBus:
         """Emit a ``progress`` event with fraction and ETA for ``stage``.
 
         The first call for a stage starts its clock; ``total`` may be
-        updated by later calls (the streamed-batch ledger refines it).
+        updated by later calls.
         """
         with self._lock:
             estimator = self._estimators.get(stage)

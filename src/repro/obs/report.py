@@ -61,7 +61,6 @@ __all__ = [
     "REQUIRED_KEYS",
     "SCHEMA_VERSION",
     "STAGES",
-    "STREAMING_STAGES",
     "build_report",
     "git_sha",
     "load_report",
@@ -87,14 +86,6 @@ REQUIRED_KEYS = (
 
 #: Span names of the paper's six methodology stages.
 STAGES = ("mica", "sampling", "pca", "kmeans", "prominent", "ga")
-
-#: Span names a streaming (``--streaming``) run records instead.  The
-#: warmup span (``streaming.warmup``) is excluded: it only exists when
-#: warmup epochs are configured, which the default (0) is not.
-STREAMING_STAGES = ("streaming.pca", "streaming.kmeans", "streaming.score")
-
-#: Root span name marking a streaming run's report.
-_STREAMING_ROOT = "characterize.streaming"
 
 PathLike = Union[str, Path]
 
@@ -213,20 +204,9 @@ def validate_report(report: Dict[str, Any]) -> List[str]:
 
 
 def missing_stages(report: Dict[str, Any]) -> List[str]:
-    """Methodology stages absent from the span tree.
-
-    A batch run is checked against :data:`STAGES`; a streaming run —
-    recognized by its ``characterize.streaming`` span or any
-    ``streaming.*`` stage span — against :data:`STREAMING_STAGES`,
-    since the streaming engine replaces the six batch stages with its
-    own pass structure.
-    """
+    """Methodology stages (:data:`STAGES`) absent from the span tree."""
     names = Span.from_dict(report["spans"]).names()
-    streaming = _STREAMING_ROOT in names or any(
-        name.startswith("streaming.") for name in names
-    )
-    expected = STREAMING_STAGES if streaming else STAGES
-    return [stage for stage in expected if stage not in names]
+    return [stage for stage in STAGES if stage not in names]
 
 
 # --- text rendering ------------------------------------------------------

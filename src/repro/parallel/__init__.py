@@ -19,7 +19,6 @@ from .executor import (
     fork_available,
     get_executor,
 )
-from .prefetch import prefetch_iter
 from .seeding import generator_from_seed, task_generator, task_seed, task_seeds
 from .shm import (
     SharedNDArray,
@@ -45,7 +44,6 @@ __all__ = [
     "fork_available",
     "generator_from_seed",
     "get_executor",
-    "prefetch_iter",
     "share_array",
     "shared_memory_available",
     "task_generator",

@@ -178,10 +178,6 @@ class ServiceAPI:
                 )
             except ValueError as exc:
                 return None, _error(400, f"invalid config: {exc}")
-        if config.streaming:
-            return None, _error(
-                400, "streaming jobs are not supported by the service (yet)"
-            )
         return config, None
 
     def _submit(self, body: bytes) -> ApiResponse:

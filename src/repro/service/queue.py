@@ -461,7 +461,7 @@ def config_fields(config: AnalysisConfig) -> Dict[str, Any]:
     """The result-affecting config fields a queue record persists.
 
     Execution knobs are the *worker's* business (its core count, its
-    spool directory), not the submitter's: excluding them keeps the
+    executor backend), not the submitter's: excluding them keeps the
     payload aligned with ``full_key()``, so two submissions differing
     only in, say, ``n_jobs`` dedup onto one job.
     """

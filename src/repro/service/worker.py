@@ -22,6 +22,7 @@ runs, and ``repro report --from-events`` can post-mortem after a kill.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import time
@@ -42,11 +43,15 @@ from .queue import (
     suite_tag,
 )
 
-__all__ = ["Worker", "run_worker", "config_from_fields", "file_digest"]
+__all__ = ["RetiredPipeline", "Worker", "run_worker", "config_from_fields", "file_digest"]
 
 PathLike = Union[str, Path]
 
 log = obs.get_logger(__name__)
+
+
+class RetiredPipeline(ValueError):
+    """A queued job asks for the streaming pipeline, which no longer exists."""
 
 
 def config_from_fields(fields: Optional[Dict[str, Any]]) -> AnalysisConfig:
@@ -56,8 +61,18 @@ def config_from_fields(fields: Optional[Dict[str, Any]]) -> AnalysisConfig:
     the worker's business), so filling the rest from defaults preserves
     ``full_key()`` — the rebuilt config keys the same artifact the
     submitter asked for.
+
+    Keys that are no longer config fields come from records written by
+    older versions and are dropped: the streaming pipeline's switch and
+    batch size, which never changed an exact-path result.  A payload
+    that actually asks for streaming raises :class:`RetiredPipeline`,
+    which fails that one job.
     """
-    return AnalysisConfig(**dict(fields or {}))
+    fields = dict(fields or {})
+    if fields.pop("streaming", False):
+        raise RetiredPipeline("the streaming pipeline is retired; resubmit without it")
+    known = {f.name for f in dataclasses.fields(AnalysisConfig)}
+    return AnalysisConfig(**{k: v for k, v in fields.items() if k in known})
 
 
 def file_digest(path: PathLike) -> str:

@@ -3,7 +3,6 @@
 from .bic import kmeans_bic
 from .correlation import pearson
 from .distance import condensed_distances, distances_to, pairwise_distances
-from .incremental_pca import IncrementalPCA, StreamingProjector
 from .kmeans import Clustering, kmeans
 from .kmeans_engine import (
     AUTO_CROSSOVER_ENTRIES,
@@ -13,12 +12,6 @@ from .kmeans_engine import (
     reference_kmeans_enabled,
     resolve_engine,
 )
-from .minibatch_kmeans import (
-    FrozenScorer,
-    MiniBatchKMeans,
-    StreamingLloyd,
-    bic_from_stats,
-)
 from .normalize import Normalizer, normalize
 from .pca import GramPCA, PCAModel, fit_pca, rescaled_pca_space
 
@@ -26,16 +19,10 @@ __all__ = [
     "AUTO_CROSSOVER_ENTRIES",
     "Clustering",
     "EngineStats",
-    "FrozenScorer",
     "GramPCA",
-    "IncrementalPCA",
-    "MiniBatchKMeans",
     "Normalizer",
     "PCAModel",
     "REFERENCE_KMEANS_ENV",
-    "StreamingLloyd",
-    "StreamingProjector",
-    "bic_from_stats",
     "condensed_distances",
     "distances_to",
     "fit_pca",

@@ -127,7 +127,9 @@ def get_suite(name: str) -> Suite:
     if name not in _CACHE:
         _ensure_definitions_loaded()
         if name not in _SUITE_BUILDERS:
-            raise KeyError(f"unknown suite {name!r}")
+            raise KeyError(
+                f"unknown suite {name!r} (choose from {', '.join(SUITE_ORDER)})"
+            )
         benchmarks = tuple(_SUITE_BUILDERS[name]())
         for b in benchmarks:
             if b.suite != name:

@@ -9,7 +9,7 @@ the same trace regardless of which other intervals were generated.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import List
 
 from ..isa import Trace, concat
 from .phases import PhaseSchedule
@@ -77,20 +77,3 @@ class SyntheticProgram:
                 f"generated {len(trace)} instructions, expected {interval_instructions}"
             )
         return trace
-
-    def iter_interval_traces(
-        self, indices: Iterable[int], interval_instructions: int
-    ) -> Iterator[Trace]:
-        """Lazily generate the traces of the given intervals, in order.
-
-        The generator API behind the streaming path
-        (:mod:`repro.streaming`): traces are produced one at a time as
-        the consumer advances, so at most one interval trace is alive
-        at once and the whole-trace working set never materializes.
-        Each yielded trace is bit-identical to
-        ``interval_trace(index, interval_instructions)`` — intervals
-        are seeded independently, so generation order and grouping
-        cannot change their content.
-        """
-        for index in indices:
-            yield self.interval_trace(int(index), interval_instructions)

@@ -60,92 +60,3 @@ def test_successors_drift_less_than_unrelated_benchmarks(small_result):
 def test_typical_distance_requires_two_benchmarks(small_result):
     with pytest.raises(ValueError):
         typical_benchmark_distance(small_result, suites=("NoSuchSuite",))
-
-
-# --- StreamingDriftMonitor --------------------------------------------------
-
-
-def _monitor_batch(rows):
-    """``(suites, benchmarks, points)`` arrays from (suite, name, point) rows."""
-    import numpy as np
-
-    suites = np.array([r[0] for r in rows])
-    names = np.array([r[1] for r in rows])
-    points = np.array([r[2] for r in rows], dtype=np.float64)
-    return suites, names, points
-
-
-def test_monitor_centroids_are_running_means():
-    import numpy as np
-
-    from repro.analysis import StreamingDriftMonitor
-
-    monitor = StreamingDriftMonitor()
-    monitor.update(*_monitor_batch([
-        ("SPECint2000", "bzip2", [1.0, 0.0]),
-        ("SPECint2000", "bzip2", [3.0, 0.0]),
-        ("SPECint2000", "gcc", [0.0, 2.0]),
-    ]))
-    monitor.update(*_monitor_batch([
-        ("SPECint2000", "bzip2", [5.0, 0.0]),
-    ]))
-    assert monitor.n_rows == 4
-    np.testing.assert_allclose(
-        monitor.centroid("SPECint2000", "bzip2"), [3.0, 0.0]
-    )
-    np.testing.assert_allclose(monitor.centroid("SPECint2000", "gcc"), [0.0, 2.0])
-
-
-def test_monitor_drift_none_until_both_generations_seen():
-    import numpy as np
-
-    from repro.analysis import StreamingDriftMonitor
-
-    monitor = StreamingDriftMonitor()
-    monitor.update(*_monitor_batch([("SPECint2000", "bzip2", [0.0, 0.0])]))
-    assert monitor.drift()["SPECint2006/bzip2"] is None
-    monitor.update(*_monitor_batch([("SPECint2006", "bzip2", [3.0, 4.0])]))
-    drift = monitor.drift()
-    assert drift["SPECint2006/bzip2"] == pytest.approx(5.0)
-    assert drift["SPECint2006/gcc"] is None
-    assert np.isfinite(monitor.centroid("SPECint2006", "bzip2")).all()
-
-
-def test_monitor_matches_batch_drift(small_result):
-    """Fed the finished space, the monitor reproduces generation_drift."""
-    import numpy as np
-
-    from repro.analysis import StreamingDriftMonitor
-
-    monitor = StreamingDriftMonitor()
-    ds = small_result.dataset
-    space = small_result.space
-    for start in range(0, len(space), 37):
-        stop = start + 37
-        monitor.update(
-            ds.suites[start:stop], ds.benchmarks[start:stop], space[start:stop]
-        )
-    batch = generation_drift(small_result)
-    streamed = monitor.drift()
-    for key, value in batch.items():
-        assert streamed[key] == pytest.approx(value, rel=1e-9)
-    assert monitor.n_rows == len(space)
-
-
-def test_monitor_rejects_mismatched_lengths():
-    import numpy as np
-
-    from repro.analysis import StreamingDriftMonitor
-
-    monitor = StreamingDriftMonitor()
-    with pytest.raises(ValueError):
-        monitor.update(
-            np.array(["A"]), np.array(["x", "y"]), np.zeros((1, 2))
-        )
-
-
-def test_monitor_unknown_centroid():
-    from repro.analysis import StreamingDriftMonitor
-
-    with pytest.raises(KeyError):
-        StreamingDriftMonitor().centroid("SPECint2000", "bzip2")

@@ -9,12 +9,10 @@ from repro.obs import (
     REQUIRED_KEYS,
     SCHEMA_VERSION,
     STAGES,
-    STREAMING_STAGES,
     Observation,
     build_report,
     load_report,
     missing_stages,
-    observe,
     render_report,
     validate_report,
     write_report,
@@ -92,45 +90,6 @@ def test_missing_stages_reports_absent_names():
     assert missing_stages(report) == [
         s for s in STAGES if s != "pca"
     ]
-
-
-def test_missing_stages_checks_streaming_names_for_streaming_runs():
-    # A streaming run replaces the six batch stages with its pass
-    # structure; judging it against the batch names would flag all six.
-    ob = Observation(run_id="s1", root_name="characterize.streaming")
-    for stage in STREAMING_STAGES:
-        with ob.span(stage):
-            pass
-    report = build_report(ob)
-    assert missing_stages(report) == []
-
-
-def test_missing_stages_recognizes_streaming_by_span_prefix():
-    # Even without the characterize.streaming root (e.g. a report built
-    # around a bare engine call), any streaming.* span flips the check.
-    ob = Observation(run_id="s2")
-    with ob.span("streaming.pca"):
-        pass
-    report = build_report(ob)
-    assert missing_stages(report) == ["streaming.kmeans", "streaming.score"]
-
-
-def test_streaming_run_report_round_trip(tmp_path):
-    from repro.streaming import run_streaming_characterization
-    from repro.suites import SUITE_INT2000, get_suite
-
-    config = AnalysisConfig.tiny().replace(
-        intervals_per_benchmark=8, n_clusters=4, kmeans_restarts=2
-    )
-    benches = get_suite(SUITE_INT2000).benchmarks[:3]
-    with observe(run_id="s3", root_name="characterize.streaming") as ob:
-        run_streaming_characterization(benches, config)
-    report = build_report(ob, config=config, command="characterize")
-    loaded = load_report(write_report(tmp_path / "streaming.json", report))
-    assert validate_report(loaded) == []
-    assert missing_stages(loaded) == []
-    for stage in STREAMING_STAGES:
-        assert stage in json.dumps(loaded["spans"])
 
 
 def test_render_report_shows_tree_and_metrics():

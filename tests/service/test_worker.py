@@ -1,14 +1,16 @@
 """Worker tests: build, cache hit, failure, and SIGKILL'd-worker resume."""
 
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.config import AnalysisConfig
 from repro.core import characterize_to_file
 from repro.service import JobQueue, Worker, artifact_path, events_path, job_dir
-from repro.service.worker import config_from_fields, file_digest
+from repro.service.worker import RetiredPipeline, config_from_fields, file_digest
 from tests.io.faults import env_with_src, sigkill_rc
 
 CFG = AnalysisConfig.tiny()
@@ -28,6 +30,53 @@ def test_config_round_trips_through_the_payload():
     }
     rebuilt = config_from_fields(queue_payloadish)
     assert rebuilt.full_key() == CFG.replace(seed=5).full_key()
+
+
+def test_streaming_payload_fails_with_a_named_error(root):
+    with pytest.raises(RetiredPipeline, match="streaming"):
+        config_from_fields({"streaming": True, "batch_intervals": 256})
+    queue = JobQueue(root)
+    queue.log.append(
+        {
+            "job": "streamed",
+            "state": "queued",
+            "priority": 0,
+            "payload": {"suites": SUITES, "config": {"streaming": True}},
+        },
+        tag="streamed",
+    )
+    assert Worker(root, "w1").run(once=True) == 1
+    failed = queue.get("streamed")
+    assert failed.state == "failed"
+    assert failed.error.startswith("RetiredPipeline:")
+
+
+#: A service root written by the queue before the streaming fields were
+#: retired (with the snapshot interval lowered to 4 while writing it):
+#: four archived records under one snapshot (a done job with a deduped
+#: resubmission), then a tail holding one queued job.
+QUEUE_V1 = Path(__file__).resolve().parents[1] / "data" / "queue_v1"
+QUEUE_V1_DONE = "BMW-382159e812001f87"
+QUEUE_V1_QUEUED = "BMW-d8c554cb7265d9f2"
+
+
+def test_queue_written_before_the_retirement_still_builds(root):
+    shutil.copytree(QUEUE_V1, root)
+    queue = JobQueue(root)
+    states = {job_id: view.state for job_id, view in queue.jobs().items()}
+    assert states == {QUEUE_V1_DONE: "done", QUEUE_V1_QUEUED: "queued"}
+    assert queue.get(QUEUE_V1_DONE).submissions == 2
+
+    view = queue.claim("w-new")
+    assert view.job_id == QUEUE_V1_QUEUED
+    assert view.payload["config"]["streaming"] is False
+    assert config_from_fields(view.payload["config"]) == CFG.replace(seed=11)
+
+    assert Worker(root, "w-new").process(view)
+    done = queue.get(QUEUE_V1_QUEUED)
+    assert done.state == "done" and done.error is None
+    assert artifact_path(root, QUEUE_V1_QUEUED).exists()
+    assert not any(v.state == "failed" for v in queue.jobs().values())
 
 
 class TestProcess:

@@ -180,117 +180,33 @@ def test_unknown_command_exits():
         main(["frobnicate"])
 
 
-def test_characterize_streaming(tmp_path, capsys):
-    from repro.streaming import load_streaming_result
-
-    path = tmp_path / "stream.npz"
-    code = main(
-        [
-            "characterize",
-            str(path),
-            "--preset",
-            "tiny",
-            "--suite",
-            "BMW",
-            "--streaming",
-            "--batch-intervals",
-            "8",
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "streaming, 8 intervals/batch" in out
-    assert "intervals (streamed)" in out
-    result = load_streaming_result(path)
-    assert result.batch_intervals == 8
-    assert len(result) > 0
+def test_characterize_unknown_suite_is_a_one_line_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["characterize", str(tmp_path / "x.npz"), "--suite", "NOPE"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "unknown suite 'NOPE'" in err
+    assert "BMW" in err and "SPECint2006" in err
+    assert not (tmp_path / "x.npz").exists()
 
 
-def test_characterize_streaming_rejects_bad_batch(tmp_path):
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "characterize",
-                str(tmp_path / "x.npz"),
-                "--preset",
-                "tiny",
-                "--suite",
-                "BMW",
-                "--streaming",
-                "--batch-intervals",
-                "0",
-            ]
-        )
-
-
-def test_characterize_streaming_spool_flags(tmp_path, capsys):
-    from repro.streaming import load_streaming_result
-
-    path = tmp_path / "stream.npz"
-    spool_dir = tmp_path / "spool"
-    args = [
-        "characterize",
-        str(path),
-        "--preset",
-        "tiny",
-        "--suite",
-        "BMW",
+@pytest.mark.parametrize(
+    "flag",
+    [
         "--streaming",
-        "--spool-dir",
-        str(spool_dir),
-        "--prefetch",
-        "2",
-    ]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "sweeps: 1 featurized" in out
-    assert list(spool_dir.glob("spool_*.bin"))
-    first = load_streaming_result(path)
-
-    # Re-running against the warm directory skips featurization.
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "sweeps: 0 featurized" in out
-    second = load_streaming_result(path)
-    assert second.clustering.bic == first.clustering.bic
-
-
-def test_characterize_streaming_no_spool(tmp_path, capsys):
-    path = tmp_path / "stream.npz"
-    assert (
-        main(
-            [
-                "characterize",
-                str(path),
-                "--preset",
-                "tiny",
-                "--suite",
-                "BMW",
-                "--streaming",
-                "--no-spool",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    assert "0 replayed (0.0 MB spooled)" in out
-
-
-def test_characterize_streaming_rejects_bad_prefetch(tmp_path):
-    with pytest.raises(SystemExit):
-        main(
-            [
-                "characterize",
-                str(tmp_path / "x.npz"),
-                "--preset",
-                "tiny",
-                "--suite",
-                "BMW",
-                "--streaming",
-                "--prefetch",
-                "-1",
-            ]
-        )
+        "--batch-intervals=8",
+        "--spool",
+        "--no-spool",
+        "--spool-dir=d",
+        "--spool-max-mb=1",
+        "--prefetch=2",
+    ],
+)
+def test_characterize_has_no_streaming_flags(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["characterize", str(tmp_path / "x.npz"), flag])
+    assert exc.value.code == 2
 
 
 def test_characterize_telemetry_streams_events(tmp_path, capsys):

@@ -68,43 +68,3 @@ def test_execution_knobs_excluded_from_full_key():
     base = AnalysisConfig.tiny()
     assert base.full_key() == base.replace(kmeans_engine="reference").full_key()
     assert base.full_key() == base.replace(n_jobs=4).full_key()
-
-
-def test_streaming_knobs_validated():
-    base = AnalysisConfig.tiny()
-    with pytest.raises(ValueError):
-        base.replace(batch_intervals=0)
-    assert base.streaming is False
-    assert base.replace(streaming=True).streaming is True
-
-
-def test_streaming_knobs_participate_in_full_key():
-    # Streaming is an approximation, not an execution knob: results can
-    # differ from the exact path, so both fields key the cache.
-    base = AnalysisConfig.tiny()
-    assert base.full_key() != base.replace(streaming=True).full_key()
-    assert base.full_key() != base.replace(batch_intervals=512).full_key()
-
-
-def test_spool_knobs_validated():
-    base = AnalysisConfig.tiny()
-    with pytest.raises(ValueError):
-        base.replace(spool_dir="")
-    with pytest.raises(ValueError):
-        base.replace(spool_max_bytes=-1)
-    with pytest.raises(ValueError):
-        base.replace(prefetch=-1)
-    assert base.spool is True
-    assert base.spool_dir is None
-    assert base.spool_max_bytes == 0
-    assert base.prefetch == 1
-
-
-def test_spool_knobs_excluded_from_full_key():
-    # The spool and prefetch change only how sweeps are served, never
-    # what they yield, so they must not invalidate cached results.
-    base = AnalysisConfig.tiny()
-    assert base.full_key() == base.replace(spool=False).full_key()
-    assert base.full_key() == base.replace(spool_dir="/tmp/s").full_key()
-    assert base.full_key() == base.replace(spool_max_bytes=1 << 30).full_key()
-    assert base.full_key() == base.replace(prefetch=4).full_key()
