@@ -45,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 from . import obs
 from .config import AnalysisConfig
 from .core import characterize_to_file, load_characterization
-from .io import format_table
+from .io import MissingArtifact, format_table
 from .mica import FEATURES
 from .suites import SUITE_ORDER, all_benchmarks, all_suites, get_suite
 
@@ -757,7 +757,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MissingArtifact as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

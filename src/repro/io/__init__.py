@@ -4,6 +4,7 @@ from .artifacts import (
     ArtifactError,
     CorruptArtifact,
     LockTimeout,
+    MissingArtifact,
     SchemaMismatch,
     StageCheckpoint,
     artifact_lock,
@@ -28,6 +29,7 @@ __all__ = [
     "CorruptArtifact",
     "FeatureBlockCache",
     "LockTimeout",
+    "MissingArtifact",
     "RECORD_SCHEMA_VERSION",
     "RecordLog",
     "SchemaMismatch",

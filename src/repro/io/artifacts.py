@@ -73,6 +73,7 @@ __all__ = [
     "ArtifactError",
     "CorruptArtifact",
     "LockTimeout",
+    "MissingArtifact",
     "SchemaMismatch",
     "StageCheckpoint",
     "artifact_lock",
@@ -87,6 +88,10 @@ __all__ = [
 
 class ArtifactError(Exception):
     """A persisted artifact could not be trusted or produced."""
+
+
+class MissingArtifact(ArtifactError):
+    """No file exists at the artifact path."""
 
 
 class CorruptArtifact(ArtifactError):
@@ -200,6 +205,7 @@ def read_artifact(
     have been produced by :func:`write_artifact` (stage checkpoints).
 
     Raises:
+        MissingArtifact: no file at ``path``.
         CorruptArtifact: unreadable npz, missing arrays, or checksum
             mismatch.
         SchemaMismatch: intact file with the wrong schema/version, or
@@ -209,6 +215,8 @@ def read_artifact(
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays: Arrays = {name: data[name] for name in data.files}
+    except FileNotFoundError as exc:
+        raise MissingArtifact(f"{path}: no such artifact") from exc
     except _CORRUPT_EXCEPTIONS as exc:
         raise CorruptArtifact(f"{path}: unreadable npz ({exc!r})") from exc
     header_raw = arrays.pop(HEADER_KEY, None)
@@ -267,14 +275,17 @@ def load_or_quarantine(path: PathLike, loader, *, kind: str = "artifact"):
     """Run ``loader(path)``; quarantine the file and return None on failure.
 
     The loader must raise :class:`ArtifactError` for anything
-    untrustworthy.  A missing file is an ordinary miss (None) and does
-    not count as corruption.
+    untrustworthy.  A missing file (:class:`MissingArtifact`, e.g. one
+    removed by another process mid-load) is an ordinary miss (None) and
+    does not count as corruption.
     """
     path = Path(path)
     if not path.exists():
         return None
     try:
         return loader(path)
+    except MissingArtifact:
+        return None
     except ArtifactError as exc:
         reg = metrics()
         reg.counter_add("artifact_cache.corrupt", 1)

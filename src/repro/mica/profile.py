@@ -13,14 +13,17 @@ profile through all six meters.  Every meter still accepts a bare trace
 (``profile=None``) and derives its own views, so direct calls and unit
 tests need no ceremony.
 
-The producer matching here is the batched formulation: instead of one
-``searchsorted`` per architectural register (64 passes), writes are
-encoded as composite ``(register << shift) | position`` keys, sorted
-once, and all reads of both source slots resolve through a single
-``searchsorted``.  Sorting the composite key is equivalent to a lexsort
-by ``(register, position)``, so for each read the predecessor key with
-the same register part is exactly the latest earlier write of that
-register.
+The producer matching here is one sort of tagged register events.
+Every source operand (tag 0 for src1, 1 for src2) and every write (tag
+2) becomes the integer ``(register, position, tag)``, and the events are
+sorted once.  Within a register the order is program order, and a read
+sorts before a write at the same position, so an instruction never sees
+its own write.  Each read's producer is then the latest write at or
+before it in that order: a forward fill of the write keys, done as a
+running maximum because the keys ascend.  One virtual write per
+register at position -1 heads every register's run, so the fill never
+crosses into another register and a read with no earlier write
+resolves to -1.
 """
 
 from __future__ import annotations
@@ -30,7 +33,26 @@ from typing import Tuple
 
 import numpy as np
 
-from ..isa import NO_REG, N_OP_CLASSES, OpClass, Trace, is_memory_op
+from ..isa import NO_REG, N_OP_CLASSES, N_REGISTERS, OpClass, Trace, is_memory_op
+
+
+#: Bits of an event key above the position: 6 for the register (the
+#: sign bit of ``NO_REG`` is what makes absent operands sort first) and
+#: 2 below it for the slot tag.
+_REGISTER_BITS = 6
+_TAG_BITS = 2
+_WRITE_TAG = 2
+
+
+def _key_dtype(position_bits: int) -> type:
+    """The narrowest key type holding ``(register, position, tag)``.
+
+    The comparison order does not depend on the dtype, so keys stay
+    int32 (half the bytes to sort) while they fit in 31 bits.
+    """
+    if position_bits + _REGISTER_BITS + _TAG_BITS <= 31:
+        return np.int32
+    return np.int64
 
 
 def match_producers(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
@@ -38,8 +60,8 @@ def match_producers(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
 
     Returns two int64 arrays ``(p1, p2)`` parallel to the trace; entry
     ``-1`` means the source operand is absent or its producing write
-    precedes the interval.  Single-sort batched equivalent of the
-    per-register ``searchsorted`` loop.
+    precedes the interval.  Equivalent to one ``searchsorted`` per
+    architectural register over that register's write positions.
 
     Producers of instruction ``i`` always satisfy ``p < i``, so the
     arrays for any prefix ``trace[:m]`` are exactly ``p1[:m], p2[:m]``
@@ -51,30 +73,41 @@ def match_producers(trace: Trace) -> Tuple[np.ndarray, np.ndarray]:
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
-    shift = max(1, int(n - 1).bit_length())
-    # Composite keys are (register, position) pairs compared as one
-    # integer; the comparison order is dtype-independent, so use int32
-    # keys whenever they fit (register needs 6 bits, so up to n = 2^25)
-    # — the sort and searchsorted run on half the bytes.
-    key_dtype = np.int32 if shift <= 25 else np.int64
-    positions = np.arange(n, dtype=key_dtype)
-    wmask = trace.dst != NO_REG
-    if not wmask.any():
-        missing = np.full(n, -1, dtype=np.int64)
-        return missing, missing.copy()
-    wkey = (trace.dst[wmask].astype(key_dtype) << shift) | positions[wmask]
-    wkey.sort()
-    srcs = np.concatenate([trace.src1, trace.src2]).astype(key_dtype)
-    rpos = np.concatenate([positions, positions])
-    rmask = srcs != NO_REG
-    rkey = (srcs[rmask] << shift) | rpos[rmask]
-    idx = np.searchsorted(wkey, rkey, side="left") - 1
-    cand = wkey.take(np.maximum(idx, 0))
-    matched = (idx >= 0) & ((cand >> shift) == srcs[rmask])
-    producers = np.full(2 * n, -1, dtype=np.int64)
-    slots = np.flatnonzero(rmask)[matched]
-    producers[slots] = (cand[matched] & ((key_dtype(1) << shift) - 1)).astype(np.int64)
-    return producers[:n], producers[n:]
+    # Positions are stored +1 so that 0 is free for the virtual writes.
+    position_bits = int(n).bit_length()
+    key_dtype = _key_dtype(position_bits)
+    reg_shift = position_bits + _TAG_BITS
+    keys = np.empty(3 * n + N_REGISTERS, dtype=key_dtype)
+    operands = keys[: 3 * n].reshape(3, n)
+    operands[0] = trace.src1
+    operands[1] = trace.src2
+    operands[2] = trace.dst
+    operands <<= reg_shift
+    step = 1 << _TAG_BITS
+    operands |= np.arange(step, (n + 1) * step, step, dtype=key_dtype)
+    operands[1] |= 1
+    operands[2] |= _WRITE_TAG
+    keys[3 * n :] = (np.arange(N_REGISTERS, dtype=key_dtype) << reg_shift) | _WRITE_TAG
+    keys.sort()
+    # Keys ascend, so a running maximum over the write keys (0 at the
+    # reads: tag bit 1 is set only on writes) is the latest write at or
+    # before each event.  Absent operands (NO_REG) have negative keys
+    # and sort first; their writes never lift the maximum above 0, so
+    # their reads resolve to -1 too.
+    latest = keys & _WRITE_TAG
+    latest >>= 1
+    latest *= keys
+    np.maximum.accumulate(latest, out=latest)
+    latest >>= _TAG_BITS
+    latest &= (1 << position_bits) - 1
+    latest -= 1
+    # Scatter by the key's low bits, (position + 1, tag): slot 4 * (i + 1)
+    # holds instruction i's src1 producer and the next slot its src2's.
+    # Every such slot is written, since every instruction has both
+    # source events, so the array needs no fill.
+    slots = np.empty((n + 1) * step, dtype=key_dtype)
+    slots[(keys & ((1 << reg_shift) - 1)).astype(np.intp)] = latest
+    return slots[step::step].astype(np.int64), slots[step + 1 :: step].astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,44 @@ class TestQuarantine:
             is None
         )
 
+    def test_read_missing_file_raises_missing_not_corrupt(self, tmp_path):
+        with pytest.raises(A.MissingArtifact) as exc:
+            A.read_artifact(tmp_path / "absent.npz", schema="t")
+        assert not isinstance(exc.value, A.CorruptArtifact)
+        assert "absent.npz" in str(exc.value)
+
+    def test_file_vanishing_mid_load_is_plain_miss(self, tmp_path):
+        # The file exists when checked but is gone when the loader runs
+        # (another process removed it): a miss, not corruption.
+        path = tmp_path / "x.npz"
+        A.write_artifact(path, {"a": np.arange(3)}, schema="t")
+
+        def loader(p):
+            p.unlink()
+            return A.read_artifact(p, schema="t")
+
+        with observe(run_id="gone") as ob:
+            assert A.load_or_quarantine(path, loader) is None
+        counters = ob.metrics.snapshot()["counters"]
+        assert "artifact_cache.corrupt" not in counters
+        assert "artifact_cache.quarantined" not in counters
+        assert not list(tmp_path.glob("x.npz.corrupt-*"))
+
+    def test_corrupt_file_still_quarantined_unchanged(self, tmp_path):
+        path = tmp_path / "x.npz"
+        A.write_artifact(path, {"a": np.arange(3)}, schema="t")
+        truncate_file(path, 0.5)
+        damaged = path.read_bytes()
+        with pytest.raises(A.CorruptArtifact):
+            A.read_artifact(path, schema="t")
+        with observe(run_id="bad") as ob:
+            assert A.load_or_quarantine(path, lambda p: A.read_artifact(p, schema="t")) is None
+        counters = ob.metrics.snapshot()["counters"]
+        assert counters["artifact_cache.corrupt"] == 1
+        assert counters["artifact_cache.quarantined"] == 1
+        (moved,) = tmp_path.glob("x.npz.corrupt-*")
+        assert moved.read_bytes() == damaged
+
 
 class TestAtomicity:
     def test_kill_before_replace_leaves_no_artifact(self, tmp_path):

@@ -434,3 +434,27 @@ def test_characterize_resumes_from_stage_checkpoints(tmp_path, capsys):
     assert main(base) == 0
     capsys.readouterr()
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare"],
+        ["phases", "{path}", "BMW", "x"],
+        ["subset"],
+        ["map", "{path}", "{out}"],
+        ["render", "{path}", "{out}"],
+        ["simulate", "{path}", "BMW", "x"],
+    ],
+)
+def test_missing_characterization_is_a_one_line_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing.npz"
+    argv = [a.format(path=path, out=tmp_path / "out") for a in argv]
+    if len(argv) == 1:
+        argv.append(str(path))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert str(path) in captured.err
+    assert "no such artifact" in captured.err
+    assert "Traceback" not in captured.err and "Corrupt" not in captured.err
